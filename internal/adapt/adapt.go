@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -269,6 +270,10 @@ func (m *Manager) BuildCandidate() error {
 	m.phase = PhaseTrain
 	m.mu.Unlock()
 
+	// Leader clustering depends on row order, and the reservoir fills in
+	// tick order (registry map iteration, parallel shards). Sorting makes
+	// the families a function of the buffered set alone.
+	slices.SortFunc(rows, slices.Compare[[]float64])
 	norm := normStats(m.cfg.Calibration, m.cfg.FeatureDim)
 	fams := Cluster(rows, norm, m.cfg.Radius, m.cfg.MinSupport, m.cfg.MaxFamilies)
 	if len(fams) == 0 {

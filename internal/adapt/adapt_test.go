@@ -2,6 +2,8 @@ package adapt
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/artifact"
@@ -297,5 +299,37 @@ func TestManagerIgnoresTornFeatureRows(t *testing.T) {
 	m.ObserveWindow(fleet.Observation{Rejected: true, Features: []float64{1, 2, 3}})
 	if st := m.Status(); st.Buffered != 0 || st.Observed != 1 {
 		t.Fatalf("torn row buffered: %+v", st)
+	}
+}
+
+// TestBuildCandidateIndependentOfArrivalOrder pins family formation to the
+// buffered set: the fleet offers rejected windows in tick order, which
+// follows map iteration and shard scheduling, so the same rejections
+// arriving in another order must cluster into the same families.
+func TestBuildCandidateIndependentOfArrivalOrder(t *testing.T) {
+	// Points along a line, spaced so leader clustering at radius 10 splits
+	// them differently depending on which point founds a leader first.
+	var rows [][2]float64
+	for i := 0; i < 40; i++ {
+		rows = append(rows, [2]float64{float64(i) * 0.75, float64(i%5) * 0.5})
+	}
+	rng := rand.New(rand.NewSource(3))
+	var want []Family
+	for trial := 0; trial < 8; trial++ {
+		m := testManager(t, &stubTrainer{a: stubArtifact(0)}, nil, nil)
+		for _, i := range rng.Perm(len(rows)) {
+			observe(m, 0, 0, true, rows[i][0], rows[i][1])
+		}
+		if err := m.BuildCandidate(); err != nil {
+			t.Fatal(err)
+		}
+		got := m.Families()
+		if trial == 0 {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("arrival order %d changed the families: %d families vs %d", trial, len(got), len(want))
+		}
 	}
 }

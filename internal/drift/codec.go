@@ -78,6 +78,20 @@ func Decode(r io.Reader) (*Calibration, error) {
 		if c.Feat.Train == nil || c.Feat.Train.Rows == 0 || c.Feat.Train.Cols != len(c.Feat.Means) {
 			return nil, errors.New("drift: corrupt calibration: feature reference rows missing or misshapen")
 		}
+		// Distance's index argues exactness over finite rows, and a
+		// non-positive std would divide every query by zero: refuse such
+		// an artifact here rather than on the first tick.
+		for j, m := range c.Feat.Means {
+			if s := c.Feat.Stds[j]; !finite(m) || !finite(s) || s <= 0 {
+				return nil, fmt.Errorf("drift: corrupt calibration: feature %d mean %v, std %v", j, m, s)
+			}
+		}
+		for i, v := range c.Feat.Train.Data {
+			if !finite(v) {
+				return nil, fmt.Errorf("drift: corrupt calibration: feature reference value %v at row %d",
+					v, i/c.Feat.Train.Cols)
+			}
+		}
 	}
 	sensors := rr.U32()
 	bins := rr.U32()
@@ -113,5 +127,10 @@ func Decode(r io.Reader) (*Calibration, error) {
 		}
 	}
 	c.Ref = ref
+	if c.Feat != nil {
+		c.Feat.index()
+	}
 	return c, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

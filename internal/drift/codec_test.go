@@ -2,6 +2,7 @@ package drift
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -94,5 +95,37 @@ func TestDecodeHostileBytes(t *testing.T) {
 	}
 	if err := (*Calibration)(nil).Encode(&bytes.Buffer{}); err == nil {
 		t.Fatal("nil calibration encoded")
+	}
+}
+
+// TestDecodeRejectsBadFeatureStats: a crafted artifact whose feature
+// statistics are not finite, or whose stds cannot standardise, fails at
+// load rather than on the first scored window.
+func TestDecodeRejectsBadFeatureStats(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(fs *FeatureStats)
+	}{
+		{"NaN mean", func(fs *FeatureStats) { fs.Means[2] = math.NaN() }},
+		{"+Inf mean", func(fs *FeatureStats) { fs.Means[0] = math.Inf(1) }},
+		{"-Inf mean", func(fs *FeatureStats) { fs.Means[8] = math.Inf(-1) }},
+		{"zero std", func(fs *FeatureStats) { fs.Stds[1] = 0 }},
+		{"negative std", func(fs *FeatureStats) { fs.Stds[3] = -1 }},
+		{"NaN std", func(fs *FeatureStats) { fs.Stds[4] = math.NaN() }},
+		{"+Inf std", func(fs *FeatureStats) { fs.Stds[5] = math.Inf(1) }},
+		{"NaN reference value", func(fs *FeatureStats) { fs.Train.Row(7)[3] = math.NaN() }},
+		{"+Inf reference value", func(fs *FeatureStats) { fs.Train.Row(0)[0] = math.Inf(1) }},
+		{"-Inf reference value", func(fs *FeatureStats) { fs.Train.Row(fs.Train.Rows - 1)[8] = math.Inf(-1) }},
+	}
+	for _, c := range cases {
+		cal := testCalibration(t)
+		c.mutate(cal.Feat)
+		var buf bytes.Buffer
+		if err := cal.Encode(&buf); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := Decode(bytes.NewReader(buf.Bytes())); err == nil {
+			t.Errorf("%s: decoded successfully", c.name)
+		}
 	}
 }

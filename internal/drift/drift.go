@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/mat"
 )
@@ -179,12 +180,19 @@ const MaxTrainRows = 2048
 // the distance to the nearest stored row; per-feature envelopes alone are
 // too loose, because the embedding's product features are heavy-tailed
 // enough that genuinely unseen inputs hide inside the marginal tails.
+//
+// A FeatureStats is read-only once built: Distance searches an index
+// derived from Train, built by FitFeatureStats and Decode (or on the first
+// Distance call for a literal), which does not follow later edits.
 type FeatureStats struct {
 	Means []float64
 	Stds  []float64
 	// Train holds the standardised training rows the distance is measured
 	// against.
 	Train *mat.Matrix
+
+	once sync.Once
+	idx  *featIndex
 }
 
 // FitFeatureStats standardises the training feature rows (constant
@@ -227,36 +235,35 @@ func FitFeatureStats(x *mat.Matrix) (*FeatureStats, error) {
 			dst[j] = (v - fs.Means[j]) / fs.Stds[j]
 		}
 	}
+	fs.index()
 	return fs, nil
 }
 
 // Distance returns the feature-space score of one feature row: the
 // Euclidean distance, in standardised coordinates, to the nearest stored
-// training row. The scan early-abandons rows that already exceed the best
-// distance, so the common in-distribution case touches a fraction of the
-// reference set.
+// training row. The row must have the fitted feature width. The search
+// prunes with a principal-axis index (see index.go) but returns exactly
+// the brute-force value: the minimum of the canonical-order squared
+// distances, square-rooted. A row with a NaN or infinite standardised
+// value scores +Inf.
+//
+//wcc:hotpath zero allocations per call, pinned by an AllocsPerRun gate
 func (fs *FeatureStats) Distance(row []float64) float64 {
-	z := make([]float64, len(row))
-	for j, v := range row {
-		z[j] = (v - fs.Means[j]) / fs.Stds[j]
+	ix := fs.index()
+	if ix.dim > stackDim {
+		return fs.nearest(ix, row, make([]float64, 2*ix.dim))
 	}
-	best := math.Inf(1)
-	for i := 0; i < fs.Train.Rows; i++ {
-		tr := fs.Train.Row(i)
-		d := 0.0
-		for j := range z {
-			diff := z[j] - tr[j]
-			d += diff * diff
-			if d >= best {
-				break
-			}
-		}
-		if d < best {
-			best = d
-		}
-	}
-	return math.Sqrt(best)
+	var buf [2 * stackDim]float64
+	return fs.nearest(ix, row, buf[:2*ix.dim])
 }
+
+// index returns the search index over Train, building it on first use.
+func (fs *FeatureStats) index() *featIndex {
+	fs.once.Do(fs.buildIndex)
+	return fs.idx
+}
+
+func (fs *FeatureStats) buildIndex() { fs.idx = newFeatIndex(fs.Train) }
 
 // quantileOf returns the nearest-rank q-quantile of a sorted slice.
 func quantileOf(sorted []float64, q float64) float64 {
